@@ -87,40 +87,42 @@ class ArrayMetadata:
             raise MetadataError(f"duplicate dimension names: {dim_names}")
         object.__setattr__(self, "dim_names", dim_names)
         object.__setattr__(self, "dtype", np.dtype(self.dtype))
+        self._derive_geometry()
 
     # ------------------------------------------------------------------
     # derived geometry
     # ------------------------------------------------------------------
 
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
+    def _derive_geometry(self) -> None:
+        """Compute the derived geometry once; the mapper reads it per
+        chunk. These are plain instance attributes, not dataclass
+        fields, so ``==``, ``hash`` and ``repr`` ignore them and pickling
+        carries them along.
 
-    @property
-    def num_cells(self) -> int:
-        return int(np.prod(self.shape))
-
-    @property
-    def chunk_grid(self) -> tuple:
-        """Number of chunks along each dimension."""
-        return tuple(
+        - ``chunk_grid``: number of chunks along each dimension;
+        - ``num_chunks``: product of ``chunk_grid``;
+        - ``cells_per_chunk``: logical cell count of every chunk (edge
+          chunks included);
+        - ``num_cells``: product of ``shape``;
+        - ``ends``: exclusive global end coordinate per dimension.
+        """
+        chunk_grid = tuple(
             math.ceil(size / interval)
             for size, interval in zip(self.shape, self.chunk_shape)
         )
+        derived = {
+            "chunk_grid": chunk_grid,
+            "num_chunks": math.prod(chunk_grid),
+            "cells_per_chunk": math.prod(self.chunk_shape),
+            "num_cells": math.prod(self.shape),
+            "ends": tuple(s + n for s, n in zip(self.starts, self.shape)),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
-    def num_chunks(self) -> int:
-        return int(np.prod(self.chunk_grid))
-
-    @property
-    def cells_per_chunk(self) -> int:
-        """Logical cell count of every chunk (edge chunks included)."""
-        return int(np.prod(self.chunk_shape))
-
-    @property
-    def ends(self) -> tuple:
-        """Exclusive global end coordinate per dimension."""
-        return tuple(s + n for s, n in zip(self.starts, self.shape))
+    def ndim(self) -> int:
+        return len(self.shape)
 
     def dim_index(self, name: str) -> int:
         try:

@@ -5,6 +5,25 @@ shuffle read/write volumes; our engine needs the same so the cost model
 sees realistic byte counts. The estimator is deliberately simple but exact
 for the types the library actually shuffles: numpy arrays, chunks,
 bitmasks, and small tuples/records around them.
+
+The byte rules, which every path below must agree on:
+
+- builtin leaves: ``int``, ``float`` and ``bool`` are 8 bytes,
+  ``complex`` 16, ``None`` 0;
+- ``tuple``/``list``: 8 bytes of framing plus the sum of their items;
+- ``dict``/``set``/``frozenset``: 16 bytes plus their keys and values;
+- ``str``/``bytes``/``bytearray``: their length;
+- plain numpy arrays and scalars: ``nbytes``; object arrays: 8 bytes a
+  pointer plus each element;
+- anything a registered sizer claims (chunks: payload + mask words +
+  rank caches), then anything advertising an integer ``nbytes``;
+- everything else: ``sys.getsizeof``.
+
+Builtin leaves and plain tuples/lists are matched by exact type before
+the registered sizers run, so a sizer must not claim them. That lookup
+is the hot path: a collected or shuffled partition is mostly small
+tuples of Python numbers. Every other type goes through the ordered
+walker (:func:`_estimate_generic`).
 """
 
 from __future__ import annotations
@@ -13,7 +32,8 @@ import sys
 
 import numpy as np
 
-_PRIMITIVE_SIZE = {int: 8, float: 8, bool: 1, complex: 16}
+#: exact-type sizes of the builtin leaves (``bool`` sizes as an ``int``)
+_LEAF_SIZE = {int: 8, float: 8, bool: 8, complex: 16, type(None): 0}
 
 #: exact sizers registered by higher layers; each probe returns a byte
 #: count or None to decline. ``repro.core`` registers a chunk-exact
@@ -25,19 +45,43 @@ _SIZERS = []
 def register_sizer(probe) -> None:
     """Register ``probe(obj) -> int | None`` tried before the generic
     ``nbytes`` path. Used by higher layers so the engine never imports
-    them (the same inversion as the shuffle value codecs)."""
+    them (the same inversion as the shuffle value codecs). Builtin
+    leaves and plain tuples/lists never reach a probe."""
     _SIZERS.append(probe)
 
 
 def estimate_size(obj) -> int:
-    """Best-effort deep size of ``obj`` in bytes.
+    """Deep size of ``obj`` in bytes, by the rules in the module doc."""
+    kind = type(obj)
+    size = _LEAF_SIZE.get(kind)
+    if size is not None:
+        return size
+    if kind is tuple or kind is list:
+        return _sequence_size(obj)
+    return _estimate_generic(obj)
 
-    Registered exact sizers win first (chunks report payload + mask +
-    rank caches). Otherwise objects may advertise their payload size
-    with a ``nbytes`` attribute (numpy arrays do; so do the library's
-    Bitmask and Chunk classes), which takes priority. Containers are
-    measured recursively with a small per-element overhead to mimic
-    serialization framing.
+
+def _sequence_size(items) -> int:
+    # estimate_size inlined: records are nested tuples of leaves
+    total = 8
+    for item in items:
+        kind = type(item)
+        size = _LEAF_SIZE.get(kind)
+        if size is None:
+            if kind is tuple or kind is list:
+                size = _sequence_size(item)
+            else:
+                size = _estimate_generic(item)
+        total += size
+    return total
+
+
+def _estimate_generic(obj) -> int:
+    """The ordered walker for every type without an exact-type rule.
+
+    Object arrays recurse into their elements; registered exact sizers
+    come next, then an integer ``nbytes`` attribute (numpy arrays and
+    scalars, the library's Bitmask), then containers and strings.
     """
     if isinstance(obj, np.ndarray):
         if obj.dtype.hasobject:
@@ -52,23 +96,21 @@ def estimate_size(obj) -> int:
     nbytes = getattr(obj, "nbytes", None)
     if nbytes is not None and isinstance(nbytes, (int, np.integer)):
         return int(nbytes)
-    for primitive, size in _PRIMITIVE_SIZE.items():
-        if isinstance(obj, primitive):
-            return size
-    if isinstance(obj, (np.integer, np.floating, np.bool_)):
-        return obj.dtype.itemsize
+    if isinstance(obj, (int, float)):
+        # int/float subclasses (bool included) size as their base
+        return 8
+    if isinstance(obj, complex):
+        return 16
     if isinstance(obj, (str, bytes, bytearray)):
         return len(obj)
     if isinstance(obj, (tuple, list)):
-        return 8 + sum(estimate_size(item) for item in obj)
+        return _sequence_size(obj)
     if isinstance(obj, dict):
         return 16 + sum(
             estimate_size(k) + estimate_size(v) for k, v in obj.items()
         )
     if isinstance(obj, (set, frozenset)):
         return 16 + sum(estimate_size(item) for item in obj)
-    if obj is None:
-        return 0
     return sys.getsizeof(obj)
 
 
@@ -82,4 +124,4 @@ def estimate_partition_size(records) -> int:
     nbytes = getattr(records, "nbytes", None)
     if nbytes is not None and isinstance(nbytes, (int, np.integer)):
         return int(nbytes)
-    return sum(estimate_size(record) for record in records)
+    return sum(map(estimate_size, records))

@@ -147,10 +147,6 @@ class SpangleMatrix:
         values, _valid = self.array.collect_dense(fill=0.0)
         return values
 
-    def block_as_ndarray(self, chunk) -> np.ndarray:
-        """A chunk's payload as a dense (block_rows, block_cols) array."""
-        return chunk.to_dense(0).reshape(self.block_shape, order="F")
-
     def optimize_static(self) -> "SpangleMatrix":
         """Swap very sparse blocks' bitmasks for offset arrays.
 
@@ -186,7 +182,9 @@ class SpangleMatrix:
         block_rows, block_cols = self.block_shape
         grid_rows = self.grid_rows
         data = vector.data
-        as_block = self.block_as_ndarray
+        # the plain tuple, not ``self``: a task closure must not capture
+        # the context (its locks do not pickle to process workers)
+        block_shape = self.block_shape
 
         def partials(part):
             partial = np.zeros(n_rows)
@@ -209,7 +207,7 @@ class SpangleMatrix:
                         minlength=block_rows,
                     )
                 else:
-                    block = as_block(chunk)
+                    block = chunk.to_dense(0).reshape(block_shape, order="F")
                     if v_slice.size < block_cols:
                         padded = np.zeros(block_cols)
                         padded[:v_slice.size] = v_slice
@@ -244,7 +242,9 @@ class SpangleMatrix:
         block_rows, block_cols = self.block_shape
         grid_rows = self.grid_rows
         data = vector.data
-        as_block = self.block_as_ndarray
+        # the plain tuple, not ``self``: a task closure must not capture
+        # the context (its locks do not pickle to process workers)
+        block_shape = self.block_shape
 
         def partials(part):
             partial = np.zeros(n_cols)
@@ -267,7 +267,7 @@ class SpangleMatrix:
                         minlength=block_cols,
                     )
                 else:
-                    block = as_block(chunk)
+                    block = chunk.to_dense(0).reshape(block_shape, order="F")
                     if v_slice.size < block_rows:
                         padded = np.zeros(block_rows)
                         padded[:v_slice.size] = v_slice

@@ -811,8 +811,10 @@ def gram_matmul(matrix):
         lambda kv: (kv[0] % grid_rows, (kv[0] // grid_rows, kv[1]))
     ).group_by_key()
 
-    block_rows = matrix.block_shape[0]
-    out_shape = (matrix.block_shape[1], matrix.block_shape[1])
+    # plain tuples, not ``matrix``: emit must not capture the context
+    block_shape = matrix.block_shape
+    block_rows = block_shape[0]
+    out_shape = (block_shape[1], block_shape[1])
     # resolve the kernel policy driver-side so process workers agree
     kind = _SPARSE_CONFIG["kernel"]
     gate = 0.0 if kind == "dense" else sparse_threshold(
@@ -843,7 +845,7 @@ def gram_matmul(matrix):
                         out.append(((c1, c2), partial))
             return out
         dense = {
-            cb: chunk.to_dense(0).reshape(matrix.block_shape, order="F")
+            cb: chunk.to_dense(0).reshape(block_shape, order="F")
             for cb, chunk in live
         }
         for c1, a in dense.items():

@@ -64,58 +64,52 @@ def _window_partials(array: ArrayRDD, window: int):
 
     cx, cy, ci = meta.chunk_shape
 
+    def aligned_windows(origin, filled, valid):
+        # windows tile the chunk exactly: one reshape-reduce per chunk
+        nr, nc = cx // window, cy // window
+        sums = filled.reshape(nr, window, nc, window, ci).sum(axis=(1, 3))
+        counts = valid.reshape(nr, window, nc, window, ci).sum(axis=(1, 3))
+        wr, wc, t = np.nonzero(counts > 0)
+        keys = zip((origin[2] + t).tolist(),
+                   (origin[0] // window + wr).tolist(),
+                   (origin[1] // window + wc).tolist())
+        return keys, sums[wr, wc, t].tolist(), counts[wr, wc, t].tolist()
+
+    def labelled_windows(origin, filled, valid):
+        # label every cell with its window, numbered (image, row, col)
+        # in lexicographic order, and sum each label in cell order
+        rows = (origin[0] + np.arange(cx)) // window
+        cols = (origin[1] + np.arange(cy)) // window
+        row0, col0 = int(rows[0]), int(cols[0])
+        nr = int(rows[-1]) - row0 + 1
+        nc = int(cols[-1]) - col0 + 1
+        labels = ((np.arange(ci)[None, None, :] * nr
+                   + (rows - row0)[:, None, None]) * nc
+                  + (cols - col0)[None, :, None]).ravel()
+        sums = np.bincount(labels, weights=filled.ravel(),
+                           minlength=ci * nr * nc)
+        counts = np.bincount(labels[valid.ravel()], minlength=ci * nr * nc)
+        live = np.flatnonzero(counts)
+        keys = zip((origin[2] + live // (nr * nc)).tolist(),
+                   (row0 + live // nc % nr).tolist(),
+                   (col0 + live % nc).tolist())
+        return keys, sums[live].tolist(), counts[live].tolist()
+
     def partials(part):
         for chunk_id, chunk in part:
-            origin = mapper.chunk_origin(meta, chunk_id)
-            dense = chunk.to_dense(0.0).reshape((cx, cy, ci), order="F")
             valid = chunk.valid_bools().reshape((cx, cy, ci), order="F")
             if not valid.any():
                 continue
+            origin = mapper.chunk_origin(meta, chunk_id)
+            dense = chunk.to_dense(0.0).reshape((cx, cy, ci), order="F")
+            filled = np.where(valid, dense, 0.0)
             aligned = (
                 cx % window == 0 and cy % window == 0
                 and origin[0] % window == 0 and origin[1] % window == 0
             )
-            if aligned:
-                # fast path: windows tile the chunk exactly — one
-                # reshape-reduce per chunk
-                wr0 = origin[0] // window
-                wc0 = origin[1] // window
-                nr = cx // window
-                nc = cy // window
-                filled = np.where(valid, dense, 0.0)
-                sums = filled.reshape(nr, window, nc, window, ci) \
-                             .sum(axis=(1, 3))
-                counts = valid.reshape(nr, window, nc, window, ci) \
-                              .sum(axis=(1, 3))
-                live = np.argwhere(counts > 0)
-                for wr, wc, t in live:
-                    yield ((origin[2] + int(t), wr0 + int(wr),
-                            wc0 + int(wc)),
-                           (float(sums[wr, wc, t]),
-                            int(counts[wr, wc, t])))
-                continue
-            # general path: label every cell with its window and group
-            rows = (origin[0] + np.arange(cx)) // window
-            cols = (origin[1] + np.arange(cy)) // window
-            imgs = origin[2] + np.arange(ci)
-            big = 1 << 20
-            keys = ((imgs[None, None, :] * big + rows[:, None, None])
-                    * big + cols[None, :, None]
-                    + np.zeros((cx, cy, ci), dtype=np.int64))
-            flat_keys = keys.ravel()
-            flat_vals = np.where(valid, dense, 0.0).ravel()
-            flat_valid = valid.ravel().astype(np.float64)
-            uniq, inverse = np.unique(flat_keys, return_inverse=True)
-            sums = np.bincount(inverse, weights=flat_vals,
-                               minlength=uniq.size)
-            counts = np.bincount(inverse, weights=flat_valid,
-                                 minlength=uniq.size)
-            for key, s, n in zip(uniq, sums, counts):
-                if n > 0:
-                    image = int(key) // (big * big)
-                    wr = (int(key) // big) % big
-                    wc = int(key) % big
-                    yield (image, wr, wc), (float(s), int(n))
+            windows = aligned_windows if aligned else labelled_windows
+            keys, sums, counts = windows(origin, filled, valid)
+            yield from zip(keys, zip(sums, counts))
 
     mapped = array.rdd.map_partitions(partials)
     if globally_aligned:
@@ -184,10 +178,12 @@ class SpangleRasterQueries:
 
 
 def reference_window_counts(valid: np.ndarray, window: int) -> dict:
-    """Dense-numpy oracle for window observation counts (tests)."""
-    counts = {}
+    """Dense-numpy oracle for window observation counts (tests).
+
+    Maps ``(image, window_row, window_col)`` to the number of valid
+    cells in that window, for windows with at least one.
+    """
     xs, ys, imgs = np.nonzero(valid)
-    for x, y, img in zip(xs, ys, imgs):
-        key = (int(img), int(x) // window, int(y) // window)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    keys = np.stack([imgs, xs // window, ys // window], axis=1)
+    windows, counts = np.unique(keys, axis=0, return_counts=True)
+    return dict(zip(map(tuple, windows.tolist()), counts.tolist()))

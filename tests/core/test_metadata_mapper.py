@@ -1,5 +1,8 @@
 """Tests for ArrayMetadata and the coordinate/chunk-ID mapper."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +80,60 @@ class TestMetadata:
     def test_describe(self):
         meta = ArrayMetadata((4, 4), (2, 2), attribute="chl")
         assert "chl" in meta.describe()
+
+
+def expected_geometry(meta) -> dict:
+    """The derived geometry recomputed from the fields alone."""
+    grid = tuple(-(-n // c) for n, c in zip(meta.shape, meta.chunk_shape))
+    return {
+        "chunk_grid": grid,
+        "num_chunks": math.prod(grid),
+        "cells_per_chunk": math.prod(meta.chunk_shape),
+        "num_cells": math.prod(meta.shape),
+        "ends": tuple(s + n for s, n in zip(meta.starts, meta.shape)),
+    }
+
+
+def geometry(meta) -> dict:
+    return {name: getattr(meta, name) for name in expected_geometry(meta)}
+
+
+class TestCachedGeometry:
+    META = ArrayMetadata((30, 7, 5), (8, 4, 5), starts=(3, -2, 10),
+                         dim_names=("x", "y", "t"), dtype=np.float32,
+                         attribute="u")
+
+    def test_values(self):
+        assert geometry(self.META) == expected_geometry(self.META)
+        assert self.META.chunk_grid == (4, 2, 1)
+        assert self.META.ends == (33, 5, 15)
+
+    def test_survives_pickling(self):
+        clone = pickle.loads(pickle.dumps(self.META))
+        assert clone == self.META
+        assert hash(clone) == hash(self.META)
+        assert geometry(clone) == geometry(self.META)
+
+    def test_eq_and_hash_use_fields_only(self):
+        same = ArrayMetadata((30, 7, 5), (8, 4, 5), starts=(3, -2, 10),
+                             dim_names=("x", "y", "t"), dtype=np.float32,
+                             attribute="u")
+        assert same == self.META and hash(same) == hash(self.META)
+        assert self.META != ArrayMetadata((30, 7, 5), (8, 4, 5))
+        assert "chunk_grid" not in repr(self.META)
+
+    def test_derived_instances_are_not_stale(self):
+        for derived in (self.META.with_attribute("g"),
+                        self.META.with_dtype(np.int64),
+                        self.META.transposed()):
+            assert geometry(derived) == expected_geometry(derived)
+        t = self.META.transposed()
+        assert t.chunk_grid == (1, 2, 4)
+        assert t.ends == (15, 5, 33)
+
+    def test_fields_stay_frozen(self):
+        with pytest.raises(AttributeError):
+            self.META.shape = (1, 1, 1)
 
 
 class TestAlgorithm1:

@@ -113,6 +113,36 @@ class TestMatVec:
         assert np.allclose(m.dot_vector(v).data, dense @ v.data)
 
 
+class TestProcessBackend:
+    """M×V, VᵀM and MᵀM run on process workers and match serial bytes.
+
+    Their task closures once captured the matrix (and with it the
+    context's locks), so every task failed to pickle.
+    """
+
+    @staticmethod
+    def _products(ctx, dense):
+        m = SpangleMatrix.from_numpy(ctx, dense, (16, 16))
+        col = SpangleVector(np.arange(dense.shape[1], dtype=np.float64))
+        row = SpangleVector(np.arange(dense.shape[0], dtype=np.float64),
+                            "row")
+        return {
+            "mxv": m.dot_vector(col).data.tobytes(),
+            "vtm": m.vector_dot(row).data.tobytes(),
+            "gram": m.gram().to_numpy().tobytes(),
+        }
+
+    # 0.5 takes the dense block kernels, 0.01 the sparse ones
+    @pytest.mark.parametrize("density", [0.5, 0.01])
+    def test_process_matches_serial(self, density):
+        dense = random_sparse((50, 40), density, seed=7)
+        serial = ClusterContext(num_executors=2, use_threads=False)
+        want = self._products(serial, dense)
+        with ClusterContext(num_executors=2, backend="process") as ctx:
+            got = self._products(ctx, dense)
+        assert got == want
+
+
 class TestMultiply:
     @pytest.mark.parametrize("local", [False, True])
     def test_matmul_matches_numpy(self, ctx, local):

@@ -1,16 +1,19 @@
 """Tests: the Table-I queries on Spangle match dense-numpy references
 and the baseline systems' answers."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.baselines import RasterFramesSystem, SciDBSystem, SciSparkSystem
+from repro.core import ArrayRDD
 from repro.data import sdss_like
 from repro.data.raster import sdss_stack
 from repro.engine import ClusterContext
 from repro.errors import ArrayError
 from repro.queries import SpangleRasterQueries, load_spangle_dataset
-from repro.queries.ssdb import reference_window_counts
+from repro.queries.ssdb import _window_partials, reference_window_counts
 
 
 @pytest.fixture()
@@ -56,18 +59,103 @@ class TestQ2:
         result = queries.q2_regrid("u", 8)
         counts = reference_window_counts(valid, 8)
         assert set(result) == set(counts)
-        for key in list(result)[:20]:
-            img, wr, wc = key
+        for (img, wr, wc), mean in result.items():
             window_vals = values[wr * 8:(wr + 1) * 8,
                                  wc * 8:(wc + 1) * 8, img]
             window_valid = valid[wr * 8:(wr + 1) * 8,
                                  wc * 8:(wc + 1) * 8, img]
-            assert result[key] == pytest.approx(
-                window_vals[window_valid].mean())
+            assert window_valid.sum() == counts[(img, wr, wc)]
+            assert mean == pytest.approx(window_vals[window_valid].mean())
 
     def test_window_validation(self, queries):
         with pytest.raises(ArrayError):
             queries.q2_regrid("u", 0)
+
+
+def dense_window_partials(values, valid, starts, window) -> dict:
+    """Oracle: ``{(image, wr, wc): (sum, count)}`` straight from the
+    dense cube, for windows with at least one valid cell."""
+    xs, ys, imgs = np.nonzero(valid)
+    keys = np.stack([starts[2] + imgs, (starts[0] + xs) // window,
+                     (starts[1] + ys) // window], axis=1)
+    windows, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    sums = np.bincount(inverse, weights=values[xs, ys, imgs])
+    counts = np.bincount(inverse)
+    return {tuple(key): (s, n) for key, s, n in
+            zip(windows.tolist(), sums.tolist(), counts.tolist())}
+
+
+class TestWindowPartialsExact:
+    """Every window's (sum, count) equals the dense oracle exactly.
+
+    Cell values are small integers, so every float sum is exact in any
+    order and the comparison can be ``==``.
+    """
+
+    @pytest.mark.parametrize("shape,chunk,starts,window", [
+        # aligned: windows tile chunks, no merge shuffle
+        ((32, 32, 3), (16, 16, 1), (0, 0, 0), 8),
+        ((32, 32, 4), (16, 16, 2), (0, 0, 0), 4),
+        ((32, 32, 3), (16, 16, 1), (8, 16, 5), 8),
+        # unaligned grids
+        ((32, 32, 3), (16, 16, 1), (0, 0, 0), 6),
+        ((32, 32, 4), (16, 16, 2), (0, 0, 0), 5),
+        # nonzero starts that break the alignment
+        ((32, 32, 3), (16, 16, 1), (5, 3, 2), 4),
+        ((32, 32, 3), (16, 16, 1), (4, 0, 0), 8),
+        # edge chunks: shape not a multiple of the chunk shape
+        ((30, 27, 2), (16, 16, 1), (0, 0, 0), 8),
+        ((30, 27, 2), (16, 16, 1), (3, 7, 1), 5),
+        # window larger than a chunk
+        ((40, 36, 2), (16, 16, 1), (0, 0, 0), 20),
+        ((40, 36, 2), (8, 8, 1), (2, 1, 0), 32),
+    ])
+    def test_every_window_exact(self, ctx, shape, chunk, starts, window):
+        rng = np.random.default_rng(sum(shape) + window)
+        values = rng.integers(-50, 50, size=shape).astype(np.float64)
+        valid = rng.random(shape) < 0.6
+        array = ArrayRDD.from_numpy(ctx, values, chunk, valid=valid,
+                                    starts=starts)
+        records = _window_partials(array, window).collect()
+        got = dict(records)
+        assert len(got) == len(records)
+        assert got == dense_window_partials(values, valid, starts, window)
+        for key, (s, n) in records:
+            assert all(type(k) is int for k in key)
+            assert type(s) is float and type(n) is int
+
+    def test_reference_window_counts(self, cube):
+        _values, valid = cube
+        counts = {}
+        for x, y, img in zip(*np.nonzero(valid)):
+            key = (int(img), int(x) // 7, int(y) // 7)
+            counts[key] = counts.get(key, 0) + 1
+        assert reference_window_counts(valid, 7) == counts
+
+
+class TestWindowBackendIdentity:
+    """Q2 and Q5 return the same bytes on serial, thread and process."""
+
+    @staticmethod
+    def _answers(ctx, bands):
+        queries = SpangleRasterQueries(
+            load_spangle_dataset(ctx, bands, chunk_shape=(32, 32, 1)))
+        return pickle.dumps([
+            queries.q2_regrid("u", 8),
+            queries.q2_regrid("u", 12),
+            queries.q2_regrid("u", 8, ((8, 8, 0), (60, 72, 3))),
+            queries.q5_density("u", 8, 5),
+            queries.q5_density("u", 12, 5),
+        ])
+
+    def test_serial_thread_process_identical(self, bands):
+        serial = ClusterContext(num_executors=2, use_threads=False)
+        want = self._answers(serial, bands)
+        with ClusterContext(num_executors=2, use_threads=True) as ctx:
+            assert self._answers(ctx, bands) == want
+        with ClusterContext(num_executors=2, backend="process") as ctx:
+            assert self._answers(ctx, bands) == want
 
 
 class TestQ3Q4:
