@@ -2,10 +2,11 @@
 
 The workload mirrors the paper's chlorophyll (CHL) queries: a sparse
 2-D raster (most cells are land/cloud nulls), restricted to a region,
-filtered on value, and rescaled — a 4-operator chunk-local chain. With
-kernel fusion (the default) the chain compiles to one ``map_partitions``
-pass per chunk; ``repro.plan.disable_fusion()`` runs the original eager
-path that rebuilds every chunk once per operator.
+filtered on value, and rescaled — a 4-operator chunk-local chain. The
+ArrayRDD operators compile the chain to one ``map_partitions`` pass per
+chunk; the unfused reference runs the same chain as one engine pass per
+operator, rebuilding every chunk through :class:`~repro.core.Chunk`'s
+own methods each time (``and_mask``, ``filter``, ``map_values``).
 
 Run as a script to emit the JSON artifact::
 
@@ -33,8 +34,8 @@ from benchmarks.harness import (
     print_table,
     write_trace_artifact,
 )
-from repro import plan
-from repro.core import ArrayRDD
+from repro.bitmask import Bitmask
+from repro.core import ArrayRDD, mapper
 
 #: assert at least this speedup for the fused 4-op chain
 SPEEDUP_TARGET = 1.5
@@ -43,6 +44,7 @@ REPEATS = 3
 SHAPE = (1024, 1024)
 CHUNK = (128, 128)
 DENSITY = 0.25           # CHL-like: ~3/4 of cells are null
+BOX = ((16, 16), (1000, 1000))
 
 
 def _build_array(ctx) -> ArrayRDD:
@@ -53,30 +55,80 @@ def _build_array(ctx) -> ArrayRDD:
     return arr.materialize()    # timings cover the chain, not ingestion
 
 
+def _above(xs):
+    return xs > 0.05
+
+
+def _square(xs):
+    return xs * xs
+
+
+def _times_ten(xs):
+    return xs * 10.0
+
+
 def _chain(arr: ArrayRDD) -> ArrayRDD:
     """subarray → filter → map → scalar: 4 chunk-local operators."""
-    return (arr.subarray((16, 16), (1000, 1000))
-               .filter(lambda xs: xs > 0.05)
-               .map_values(lambda xs: xs * xs)
-            * 10.0)
+    return arr.subarray(*BOX).filter(_above).map_values(_square) * 10.0
+
+
+class _RestrictToBox:
+    """Unfused subarray: chunk-ID pruning, then ``Chunk.and_mask`` with
+    the box's virtual bitmask for every chunk the box cuts."""
+
+    def __init__(self, meta, lo, hi):
+        self.meta = meta
+        self.lo = lo
+        self.hi = hi
+        self.wanted = frozenset(mapper.chunk_ids_in_range(meta, lo, hi))
+        self.inside = frozenset(
+            mapper.chunk_ids_fully_inside(meta, lo, hi))
+
+    def __call__(self, _index, part):
+        for chunk_id, chunk in part:
+            if chunk_id not in self.wanted:
+                continue
+            if chunk_id in self.inside:
+                yield chunk_id, chunk
+                continue
+            box = Bitmask.from_bools(mapper.range_mask_for_chunk(
+                self.meta, chunk_id, self.lo, self.hi))
+            restricted = chunk.and_mask(box)
+            if restricted.valid_count > 0:
+                yield chunk_id, restricted
+
+
+def _unfused_chain(arr: ArrayRDD):
+    """The same chain as one engine pass per operator."""
+    rdd = arr.rdd.map_partitions_with_index(
+        _RestrictToBox(arr.meta, *BOX), preserves_partitioning=True)
+    rdd = rdd.map_values(lambda chunk: chunk.filter(_above)) \
+             .filter(lambda kv: kv[1].valid_count > 0)
+    rdd = rdd.map_values(lambda chunk: chunk.map_values(_square))
+    return rdd.map_values(lambda chunk: chunk.map_values(_times_ten))
 
 
 def _run_mode(fused: bool) -> dict:
     ctx = fresh_context(8)
     arr = _build_array(ctx)
-    toggle = plan.enable_fusion if fused else plan.disable_fusion
     walls = []
     count = None
     label = None
-    with toggle():
-        before = ctx.metrics.snapshot()
-        for _ in range(REPEATS):
+    before = ctx.metrics.snapshot()
+    for _ in range(REPEATS):
+        if fused:
             out = _chain(arr)
             start = time.perf_counter()
             count = out.count_valid()
-            walls.append(time.perf_counter() - start)
             label = out.rdd.name
-        delta = ctx.metrics.snapshot() - before
+        else:
+            out = _unfused_chain(arr)
+            start = time.perf_counter()
+            count = out.map(lambda kv: kv[1].valid_count) \
+                       .fold(0, lambda a, b: a + b)
+            label = out.name
+        walls.append(time.perf_counter() - start)
+    delta = ctx.metrics.snapshot() - before
     return {
         "wall_s": min(walls),
         "count": count,

@@ -21,8 +21,8 @@ Package map:
 - :mod:`repro.engine` -- the mini-Spark substrate.
 - :mod:`repro.bitmask` -- bitmask machinery (popcounts, hierarchy).
 - :mod:`repro.core` -- ArrayRDD, MaskRDD, chunks, operators.
-- :mod:`repro.plan` -- the chunk-kernel fusion layer
-  (``repro.plan.disable_fusion()`` is the eager-execution escape hatch).
+- :mod:`repro.core.plan` -- the chunk-kernel layer: each chunk-local
+  operator is one kernel, and a chain of them runs as one fused pass.
 - :mod:`repro.optimizer` -- the cost-based logical rewrite layer
   (``repro.optimizer.disable()`` lowers plans exactly as written;
   ``ArrayRDD.explain(optimized=True)`` shows what it rewrote).
@@ -35,7 +35,7 @@ Package map:
 - :mod:`repro.io` -- CSV and SNF (NetCDF-like) ingestion.
 """
 
-from repro import optimizer, plan
+from repro import optimizer
 from repro.bitmask import Bitmask
 from repro.core import (
     Aggregator,
@@ -84,7 +84,6 @@ __all__ = [
     "StorageLevel",
     "optimizer",
     "pagerank",
-    "plan",
     "set_sparse_threshold",
     "sparse_config",
     "__version__",

@@ -53,7 +53,6 @@ __all__ = [
     "MapOp",
     "MaskApplyOp",
     "MatmulOp",
-    "RawPlanOp",
     "RepackOp",
     "ScalarOp",
     "ShuffleOp",
@@ -126,27 +125,6 @@ class SourceOp(LogicalOp):
 
     def with_children(self, children) -> "SourceOp":
         return self
-
-
-class RawPlanOp(LogicalOp):
-    """An opaque, pre-built ChunkPlan over a source (compat shim).
-
-    Produced when an :class:`~repro.core.array_rdd.ArrayRDD` is
-    constructed with an explicit ``plan=``; the optimizer treats it as a
-    black box.
-    """
-
-    name = "raw_plan"
-
-    def __init__(self, child, chunk_plan):
-        self.children = (child,)
-        self.chunk_plan = chunk_plan
-
-    def describe(self) -> str:
-        return f"raw[{self.chunk_plan.label()}]"
-
-    def with_children(self, children) -> "RawPlanOp":
-        return RawPlanOp(children[0], self.chunk_plan)
 
 
 class MapOp(LogicalOp):
@@ -507,7 +485,7 @@ def estimate(node: LogicalOp) -> Estimate:
                         meta)
     child = estimate(node.children[0])
     if isinstance(node, (MapOp, ScalarOp, FoldedScalarOp, RepackOp,
-                         ShuffleOp, RawPlanOp, AggregateOp)):
+                         ShuffleOp, AggregateOp)):
         return child
     if isinstance(node, FilterOp):
         return Estimate(child.chunks,
@@ -630,10 +608,6 @@ def _compile(rdd, pending, metrics):
 def _lower_uncached(node, context, metrics, memo):
     if isinstance(node, SourceOp):
         return node.rdd, ChunkPlan.identity()
-    if isinstance(node, RawPlanOp):
-        rdd, pending = _lower(node.children[0], context, metrics, memo)
-        rdd = _compile(rdd, pending, metrics)
-        return rdd, node.chunk_plan
     if isinstance(node, _CHUNK_LOCAL):
         rdd, pending = _lower(node.children[0], context, metrics, memo)
         return rdd, pending.then(_kernel_for(node))

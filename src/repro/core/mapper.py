@@ -12,8 +12,6 @@ Everything has a vectorized twin (suffix ``_array``) operating on an
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from repro.core.metadata import ArrayMetadata
@@ -195,28 +193,46 @@ def chunk_ids_in_range(meta: ArrayMetadata, lo, hi) -> list:
         first = (clamped_lo - meta.starts[axis]) // meta.chunk_shape[axis]
         last = (clamped_hi - meta.starts[axis]) // meta.chunk_shape[axis]
         axis_ranges.append(range(first, last + 1))
-    ids = []
-    for grid_coords in itertools.product(*axis_ranges):
-        ids.append(chunk_id_from_chunk_coords(meta, grid_coords))
-    return sorted(ids)
+    return _chunk_ids_in_grid_box(meta, axis_ranges)
 
 
-def chunk_fully_inside(meta: ArrayMetadata, chunk_id: int, lo, hi) -> bool:
-    """Is the chunk's whole box inside the closed range [lo, hi]?
+def _chunk_ids_in_grid_box(meta: ArrayMetadata, axis_ranges) -> list:
+    """Sorted chunk IDs of every grid cell in the product of per-axis
+    grid-coordinate ranges (Algorithm 1, vectorized)."""
+    ids = np.zeros(1, dtype=np.int64)
+    length = 1
+    for axis, grid_range in enumerate(axis_ranges):
+        coords = np.arange(grid_range.start, grid_range.stop,
+                           dtype=np.int64)
+        ids = (ids[None, :] + coords[:, None] * length).ravel()
+        length *= meta.chunk_grid[axis]
+    return np.sort(ids).tolist()
 
-    Pure integer arithmetic — lets Subarray skip building the virtual
-    bitmask (it would be all-ones) for interior chunks.
+
+def chunk_ids_fully_inside(meta: ArrayMetadata, lo, hi) -> list:
+    """Chunk IDs whose whole in-bounds box lies inside [lo, hi].
+
+    Pure integer arithmetic over the chunk grid, computed once per box —
+    lets Subarray skip building the virtual bitmask (it would be
+    all-ones) for interior chunks. A chunk counts as inside when its
+    first cell is at or past ``lo`` and its last *in-bounds* cell is at
+    or before ``hi`` on every axis.
     """
-    origin = chunk_origin(meta, chunk_id)
+    axis_ranges = []
     for axis in range(meta.ndim):
-        if origin[axis] < lo[axis]:
-            return False
-        # the chunk's last *in-bounds* cell along this axis
-        last = min(origin[axis] + meta.chunk_shape[axis],
-                   meta.ends[axis]) - 1
-        if last > hi[axis]:
-            return False
-    return True
+        start = meta.starts[axis]
+        interval = meta.chunk_shape[axis]
+        grid = meta.chunk_grid[axis]
+        first = max(0, -((start - int(lo[axis])) // interval))
+        if int(hi[axis]) >= meta.ends[axis] - 1:
+            last = grid - 1          # the edge chunk ends at the boundary
+        else:
+            last = min(grid - 1,
+                       (int(hi[axis]) - start + 1) // interval - 1)
+        if first > last:
+            return []
+        axis_ranges.append(range(first, last + 1))
+    return _chunk_ids_in_grid_box(meta, axis_ranges)
 
 
 def range_mask_for_chunk(meta: ArrayMetadata, chunk_id: int,

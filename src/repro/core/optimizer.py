@@ -7,8 +7,9 @@ a transformed subtree and keeps it only when the
 strictly cheaper — scans via :meth:`scan_seconds` fed with the
 per-chunk density statistics the estimates carry, data movement via
 :meth:`shuffle_seconds`. Rules therefore never fire on plans they
-cannot improve, and the escape hatch :func:`disable` (mirroring
-``repro.plan.disable_fusion``) turns the whole layer off.
+cannot improve, and :func:`disable` turns the whole layer off so
+recorded plans lower exactly as written (the reference the optimizer's
+byte-identity tests compare against).
 
 Rule catalog
 ------------
@@ -46,7 +47,6 @@ from __future__ import annotations
 import operator as _operator
 
 from repro.core import mapper
-from repro.core import plan as plan_mod
 from repro.core.logical import (
     ElementwiseOp,
     FilterOp,
@@ -79,7 +79,7 @@ MAX_FIRINGS = 64
 
 
 # ----------------------------------------------------------------------
-# optimizer switch (mirrors repro.core.plan's fusion toggle)
+# optimizer switch
 # ----------------------------------------------------------------------
 
 class _OptimizerToggle:
@@ -177,7 +177,7 @@ def _node_cost(node, model) -> float:
         out = estimate(node)
         return cost + model.shuffle_seconds(out.payload_bytes,
                                             out.chunks)
-    # unknown nodes (RawPlanOp, AggregateOp): price as one pass
+    # unknown nodes (AggregateOp): price as one pass
     if node.children:
         child = estimate(node.children[0])
         return model.scan_seconds(child.dense_bytes, child.density)
@@ -431,7 +431,7 @@ class _MaskOnlyCount:
     the intersection of their wanted sets.
     """
 
-    __slots__ = ("meta", "boxes", "wanted")
+    __slots__ = ("meta", "boxes", "wanted", "inside")
 
     def __init__(self, meta, boxes):
         self.meta = meta
@@ -441,20 +441,23 @@ class _MaskOnlyCount:
             ids = frozenset(mapper.chunk_ids_in_range(meta, lo, hi))
             wanted = ids if wanted is None else (wanted & ids)
         self.wanted = wanted
+        self.inside = tuple(
+            frozenset(mapper.chunk_ids_fully_inside(meta, lo, hi))
+            for lo, hi in self.boxes)
 
     def __getstate__(self):
-        return (self.meta, self.boxes, self.wanted)
+        return (self.meta, self.boxes, self.wanted, self.inside)
 
     def __setstate__(self, state):
-        self.meta, self.boxes, self.wanted = state
+        self.meta, self.boxes, self.wanted, self.inside = state
 
     def __call__(self, record):
         chunk_id, chunk = record
         if self.wanted is not None and chunk_id not in self.wanted:
             return 0
         offsets = None
-        for lo, hi in self.boxes:
-            if mapper.chunk_fully_inside(self.meta, chunk_id, lo, hi):
+        for (lo, hi), contained in zip(self.boxes, self.inside):
+            if chunk_id in contained:
                 continue
             inside = mapper.range_mask_for_chunk(self.meta, chunk_id,
                                                  lo, hi)
@@ -481,7 +484,7 @@ def lower_count_valid(node, context):
     op (filter, elementwise, mask apply, matmul) whose validity effect
     requires real evaluation.
     """
-    if not (enabled() and plan_mod.fusion_enabled()):
+    if not enabled():
         return None
     boxes = []
     skipped = 0

@@ -1,27 +1,26 @@
-"""ChunkPlan: a fused chunk-kernel operator layer (the plan algebra).
+"""ChunkPlan: the chunk-kernel operator layer (the plan algebra).
 
 Every narrow ArrayRDD operator — ``map_values``, ``filter``,
-``subarray``, scalar arithmetic — is a chunk-local rewrite of
-``(payload, bitmask)``. Executed eagerly, a chain of k such operators
-re-encodes every chunk k times: decode offsets/values, transform, pack a
-fresh bitmask, build a fresh :class:`~repro.core.chunk.Chunk`. This
-module replaces that with a tiny logical plan: operators *append a
-kernel* to a pending :class:`ChunkPlan`, and when an action (or a wide
-operator, or ``cache()``) forces evaluation the whole chain compiles to
-**one** ``map_partitions`` pass — one decode, one kernel pipeline over
-plain offset/value vectors, one encode per surviving chunk.
+``subarray``, scalar arithmetic, ``repack`` — is a chunk-local rewrite
+of ``(payload, bitmask)``. Operators *append a kernel* to a pending
+:class:`ChunkPlan`, and when an action (or a wide operator, or
+``cache()``) forces evaluation the whole chain compiles to **one**
+``map_partitions`` pass: at most one decode, one kernel pipeline over
+the kept cells and their compact values, one encode per surviving chunk.
 
-The contract is strict: a compiled plan is byte-identical to the eager
-path in all three chunk modes. Kernels therefore replicate the eager
-operators' mode policy exactly — ``map_values`` preserves the input
-mode, ``filter``/``mask_and`` re-apply :func:`choose_mode` on the new
-density — and the final encode goes through the same
-:func:`~repro.core.chunk._build_from_bools` construction the eager
-operators use.
+Decoding is lazy. A record enters the pipeline as its undecoded chunk;
+the first kernel that needs values decodes it. Chunks pruned by ID
+(Fig. 4a: a chain holding box restrictions skips every record outside
+their wanted sets before its source runs) and chunks lying fully inside
+a box never decode at all, and a chunk no kernel changed leaves the
+pass as the very same object.
 
-Fusion can be turned off globally with :func:`disable_fusion` (also a
-context manager), which routes every operator back through the original
-eager per-chunk code path.
+The result is byte-identical to applying :class:`~repro.core.chunk
+.Chunk`'s own methods once per operator — ``map_values`` preserves the
+input mode, ``filter``/``and_mask``/``repack`` re-apply
+:func:`choose_mode` on the new density — and the final encode goes
+through the same :func:`~repro.core.chunk._build_from_bools`
+construction those methods use.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.bitmask.popcount import rank_counts
 from repro.core import mapper
 from repro.core.chunk import Chunk, ChunkMode, choose_mode, \
     _build_from_bools
-from repro.engine.worker import register_task_state
 from repro.errors import ArrayError
 
 __all__ = [
@@ -47,100 +45,120 @@ __all__ = [
     "MaskApplySource",
     "RepackKernel",
     "ScalarOpKernel",
-    "disable_fusion",
-    "enable_fusion",
-    "fusion_enabled",
 ]
 
 
 # ----------------------------------------------------------------------
-# fusion switch
-# ----------------------------------------------------------------------
-
-class _FusionToggle:
-    """Flips the global fusion switch; restores the prior state when
-    used as a context manager."""
-
-    def __init__(self, enabled: bool):
-        self._previous = _STATE["enabled"]
-        _STATE["enabled"] = enabled
-
-    def __enter__(self) -> "_FusionToggle":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        _STATE["enabled"] = self._previous
-        return False
-
-
-_STATE = {"enabled": True}
-
-
-def _capture_fusion():
-    return _STATE["enabled"]
-
-
-def _apply_fusion(value):
-    _STATE["enabled"] = value
-
-
-# ship the fusion toggle to worker processes alongside each task, so a
-# ``with disable_fusion():`` block on the driver governs the workers too
-register_task_state("fusion", _capture_fusion, _apply_fusion)
-
-
-def fusion_enabled() -> bool:
-    """Whether operators build ChunkPlans (True) or run eagerly."""
-    return _STATE["enabled"]
-
-
-def enable_fusion() -> _FusionToggle:
-    """Turn kernel fusion on (the default). Usable as ``with`` block."""
-    return _FusionToggle(True)
-
-
-def disable_fusion() -> _FusionToggle:
-    """Escape hatch: run every operator through the eager per-chunk
-    path. Usable standalone or as a ``with`` block that restores the
-    previous setting on exit."""
-    return _FusionToggle(False)
-
-
-# ----------------------------------------------------------------------
-# kernel state: one chunk decoded to plain vectors
+# kernel state: one chunk, decoded on demand
 # ----------------------------------------------------------------------
 
 class KernelState:
-    """A chunk mid-pipeline: ascending valid offsets + aligned values.
+    """A chunk mid-pipeline.
+
+    Until :meth:`decode` runs, the state is only its source ``chunk``
+    (``values`` is None). Decoded, it holds ``values`` — the kept cells'
+    values in ascending offset order — and the kept cells themselves,
+    as a keep-mask (one bool per cell, what decoding and the final
+    encode work in) or as ascending offsets (what the filter and box
+    kernels index with, cheaper than boolean indexing), whichever the
+    last kernel produced; each converts to the other on first use.
 
     ``rebuilt`` tracks whether any kernel changed the chunk (if not, the
-    original ``chunk`` object is passed through untouched, exactly like
-    the eager operators do). ``eager_builds`` counts how many
-    intermediate Chunk constructions the eager path would have performed
-    for the same record — the fusion savings counter.
+    original ``chunk`` object is passed through untouched).
+    ``eager_builds`` counts how many intermediate Chunk constructions a
+    one-operator-at-a-time evaluation would have performed for the same
+    record — the fusion savings counter.
     """
 
-    __slots__ = ("num_cells", "offsets", "values", "mode", "chunk",
-                 "rebuilt", "dropped", "eager_builds", "repacked")
+    __slots__ = ("num_cells", "chunk", "values", "mode", "_keep",
+                 "_offsets", "rebuilt", "dropped", "eager_builds",
+                 "repacked")
 
-    def __init__(self, num_cells, offsets, values, mode, chunk=None):
+    def __init__(self, num_cells, mode, chunk=None, keep=None,
+                 values=None):
         self.num_cells = num_cells
-        self.offsets = offsets
-        self.values = values
         self.mode = mode
         self.chunk = chunk
+        self.values = values
+        self._keep = keep
+        self._offsets = None
         self.rebuilt = False
         self.dropped = False
         self.eager_builds = 0
         self.repacked = 0
 
+    @classmethod
+    def of(cls, chunk) -> "KernelState":
+        """An undecoded state for ``chunk``."""
+        return cls(chunk.num_cells, chunk.mode, chunk=chunk)
+
+    def decode(self) -> None:
+        """Unpack the source chunk's cells and values (once)."""
+        if self.values is None:
+            chunk = self.chunk
+            self._keep = chunk.valid_bools()
+            self.values = chunk.payload[self._keep] \
+                if chunk.mode is ChunkMode.DENSE else chunk.payload
+
+    @property
+    def keep(self) -> np.ndarray:
+        if self._keep is None:
+            self._keep = np.zeros(self.num_cells, dtype=bool)
+            self._keep[self._offsets] = True
+        return self._keep
+
+    @property
+    def offsets(self) -> np.ndarray:
+        if self._offsets is None:
+            self._offsets = np.flatnonzero(self._keep)
+        return self._offsets
+
+    @property
+    def valid_count(self) -> int:
+        if self.values is None:
+            return self.chunk.valid_count
+        return self.values.size
+
+    def shrink(self, survivors) -> None:
+        """Keep only the ``survivors`` of the current values; re-apply
+        the density policy and drop the chunk if nothing is left."""
+        self._offsets = self.offsets[survivors]
+        self._keep = None
+        self.values = self.values[survivors]
+        count = self.values.size
+        self.mode = choose_mode(count / self.num_cells
+                                if self.num_cells else 0.0)
+        self.rebuilt = True
+        self.eager_builds += 1
+        if count == 0:
+            self.dropped = True
+
+    def replace_values(self, new_values, builds: int) -> None:
+        new_values = np.asarray(new_values)
+        if new_values.shape != self.values.shape:
+            raise ArrayError(
+                "map_values function must preserve the value count"
+            )
+        self.values = new_values
+        self.rebuilt = True
+        self.eager_builds += builds
+
+
+def _values_where(chunk, keep) -> np.ndarray:
+    """Values of ``chunk`` at the cells ``keep`` marks (all valid), in
+    ascending offset order."""
+    if chunk.mode is ChunkMode.DENSE:
+        return chunk.payload[keep]
+    # payload order == ascending offsets, so indexing the keep mask by
+    # the valid offsets selects the surviving slots
+    return chunk.payload[keep[chunk.indices()]]
+
 
 def _encode(state: KernelState) -> Chunk:
     """Pack a rebuilt state into a Chunk — the single encode of the
-    fused pass, via the same construction the eager operators use."""
-    keep = np.zeros(state.num_cells, dtype=bool)
-    keep[state.offsets] = True
-    return _build_from_bools(state.num_cells, keep, state.values,
+    fused pass, via the same construction the Chunk methods use."""
+    state.decode()
+    return _build_from_bools(state.num_cells, state.keep, state.values,
                              state.mode)
 
 
@@ -155,16 +173,16 @@ class ChunkSource:
     label = None
 
     def begin(self, chunk_id, chunk) -> KernelState:
-        return KernelState(chunk.num_cells, chunk.indices(),
-                           chunk.values(), chunk.mode, chunk=chunk)
+        return KernelState.of(chunk)
 
 
 class MaskApplySource(ChunkSource):
     """Source for ``(Chunk, Bitmask)`` join pairs: MaskRDD reconciliation.
 
     Replicates :meth:`Chunk.and_mask` — including its return-self
-    fast path when the mask removes nothing — but leaves the result
-    decoded so downstream kernels fuse into the same pass.
+    fast path when the mask removes nothing, which here leaves the chunk
+    undecoded — but keeps a restricted result decoded so downstream
+    kernels fuse into the same pass.
     """
 
     label = "apply_mask"
@@ -179,16 +197,12 @@ class MaskApplySource(ChunkSource):
         flat = chunk.flat_mask()
         combined = flat & other_mask
         if combined == flat:       # nothing was masked out
-            return ChunkSource.begin(self, chunk_id, chunk)
+            return KernelState.of(chunk)
         keep = combined.to_bools()
-        density = combined.count() / chunk.num_cells \
-            if chunk.num_cells else 0.0
-        if chunk.mode is ChunkMode.DENSE:
-            compact = chunk.payload[keep]
-        else:
-            compact = chunk.payload[keep[chunk.indices()]]
-        state = KernelState(chunk.num_cells, combined.indices(), compact,
-                            choose_mode(density))
+        values = _values_where(chunk, keep)
+        state = KernelState(chunk.num_cells,
+                            choose_mode(values.size / chunk.num_cells),
+                            keep=keep, values=values)
         state.rebuilt = True
         state.eager_builds = 1
         return state
@@ -223,21 +237,18 @@ class ElementwiseSource(ChunkSource):
                 f"chunk size mismatch: {left.num_cells} vs "
                 f"{right.num_cells}"
             )
-        left_mask = left.flat_mask()
-        right_mask = right.flat_mask()
         if self.how == "and":
-            combined = left_mask & right_mask
-            offsets = combined.indices()
-            result = self.op(left._values_at_offsets(offsets),
-                             right._values_at_offsets(offsets))
+            keep = (left.flat_mask() & right.flat_mask()).to_bools()
+            result = self.op(_values_where(left, keep),
+                             _values_where(right, keep))
         else:
-            combined = left_mask | right_mask
-            offsets = combined.indices()
-            result = self.op(left.to_dense(self.fill)[offsets],
-                             right.to_dense(self.fill)[offsets])
-        density = offsets.size / left.num_cells if left.num_cells else 0.0
-        state = KernelState(left.num_cells, offsets, result,
-                            choose_mode(density))
+            keep = (left.flat_mask() | right.flat_mask()).to_bools()
+            result = self.op(left.to_dense(self.fill)[keep],
+                             right.to_dense(self.fill)[keep])
+        count = int(np.count_nonzero(keep))
+        density = count / left.num_cells if left.num_cells else 0.0
+        state = KernelState(left.num_cells, choose_mode(density),
+                            keep=keep, values=result)
         state.rebuilt = True
         state.eager_builds = 1
         return state
@@ -256,14 +267,8 @@ class MapValuesKernel:
         self.func = func
 
     def apply(self, chunk_id, state: KernelState) -> None:
-        new_values = np.asarray(self.func(state.values))
-        if new_values.shape != state.values.shape:
-            raise ArrayError(
-                "map_values function must preserve the value count"
-            )
-        state.values = new_values
-        state.rebuilt = True
-        state.eager_builds += 1
+        state.decode()
+        state.replace_values(self.func(state.values), 1)
 
 
 class ScalarOpKernel:
@@ -277,17 +282,12 @@ class ScalarOpKernel:
         self.label = f"scalar_{name or getattr(op, '__name__', 'op')}"
 
     def apply(self, chunk_id, state: KernelState) -> None:
+        state.decode()
         if self.reflected:
-            new_values = np.asarray(self.op(self.scalar, state.values))
+            new_values = self.op(self.scalar, state.values)
         else:
-            new_values = np.asarray(self.op(state.values, self.scalar))
-        if new_values.shape != state.values.shape:
-            raise ArrayError(
-                "map_values function must preserve the value count"
-            )
-        state.values = new_values
-        state.rebuilt = True
-        state.eager_builds += 1
+            new_values = self.op(state.values, self.scalar)
+        state.replace_values(new_values, 1)
 
 
 class FoldedScalarKernel:
@@ -307,20 +307,14 @@ class FoldedScalarKernel:
         self.label = f"fold[{names}]"
 
     def apply(self, chunk_id, state: KernelState) -> None:
+        state.decode()
         values = state.values
         for op, scalar, reflected, _name in self.stages:
             if reflected:
                 values = op(scalar, values)
             else:
                 values = op(values, scalar)
-        new_values = np.asarray(values)
-        if new_values.shape != state.values.shape:
-            raise ArrayError(
-                "map_values function must preserve the value count"
-            )
-        state.values = new_values
-        state.rebuilt = True
-        state.eager_builds += len(self.stages)
+        state.replace_values(values, len(self.stages))
 
 
 class FilterKernel:
@@ -333,26 +327,21 @@ class FilterKernel:
         self.predicate = predicate
 
     def apply(self, chunk_id, state: KernelState) -> None:
-        keep = np.asarray(self.predicate(state.values), dtype=bool)
-        if keep.shape != state.values.shape:
+        state.decode()
+        survivors = np.asarray(self.predicate(state.values), dtype=bool)
+        if survivors.shape != state.values.shape:
             raise ArrayError(
                 "filter predicate must return one bool per value")
-        density = int(keep.sum()) / state.num_cells \
-            if state.num_cells else 0.0
-        state.offsets = state.offsets[keep]
-        state.values = state.values[keep]
-        state.mode = choose_mode(density)
-        state.rebuilt = True
-        state.eager_builds += 1
-        if state.offsets.size == 0:
-            state.dropped = True
+        state.shrink(survivors)
 
 
 class MaskAndKernel:
     """Subarray restriction: AND with the virtual bitmask of a box.
 
-    Chunk-ID pruning happens first (a metadata check, no scan), chunks
-    fully inside the box pass through untouched, and — like the eager
+    Both chunk-ID sets are computed once, on the driver: chunks outside
+    ``wanted`` are pruned (a metadata check, no scan — the compiled pass
+    skips them before they even decode), chunks in ``inside`` lie fully
+    inside the box and pass through undecoded, and — like
     :meth:`Chunk.and_mask` — a chunk whose cells all survive is not
     rebuilt.
     """
@@ -364,28 +353,22 @@ class MaskAndKernel:
         self.lo = lo
         self.hi = hi
         self.wanted = frozenset(mapper.chunk_ids_in_range(meta, lo, hi))
+        self.inside = frozenset(
+            mapper.chunk_ids_fully_inside(meta, lo, hi))
 
     def apply(self, chunk_id, state: KernelState) -> None:
         if chunk_id not in self.wanted:
             state.dropped = True
             return
-        if mapper.chunk_fully_inside(self.meta, chunk_id, self.lo,
-                                     self.hi):
+        if chunk_id in self.inside:
             return
         inside = mapper.range_mask_for_chunk(self.meta, chunk_id,
                                              self.lo, self.hi)
-        keep = inside[state.offsets]
-        if keep.all():             # nothing was masked out
+        state.decode()
+        survivors = inside[state.offsets]
+        if survivors.all():        # nothing was masked out
             return
-        count = int(keep.sum())
-        density = count / state.num_cells if state.num_cells else 0.0
-        state.offsets = state.offsets[keep]
-        state.values = state.values[keep]
-        state.mode = choose_mode(density)
-        state.rebuilt = True
-        state.eager_builds += 1
-        if state.offsets.size == 0:
-            state.dropped = True
+        state.shrink(survivors)
 
 
 class RepackKernel:
@@ -403,7 +386,7 @@ class RepackKernel:
     def apply(self, chunk_id, state: KernelState) -> None:
         if state.num_cells == 0:
             return
-        target = choose_mode(state.offsets.size / state.num_cells)
+        target = choose_mode(state.valid_count / state.num_cells)
         if target is state.mode:
             return
         state.mode = target
@@ -415,14 +398,14 @@ class RepackKernel:
 class DropEmpty:
     """Drop chunks with no valid cell (the memory-reduction policy).
 
-    Compiled with ``preserves_partitioning=True`` — the plan-level
-    answer to the eager path's trailing ``.filter(valid_count > 0)``.
+    Compiled with ``preserves_partitioning=True``: chunk IDs never move,
+    so the partitioner survives the drop.
     """
 
     label = "drop_empty"
 
     def apply(self, chunk_id, state: KernelState) -> None:
-        if state.offsets.size == 0:
+        if state.valid_count == 0:
             state.dropped = True
 
 
@@ -454,6 +437,14 @@ class _CompiledPlanPass:
         self.pipeline = pipeline
         self.tracer = tracer
         self.metrics = metrics
+        # every box restriction in the chain drops chunks outside its
+        # wanted set, so records outside their intersection are skipped
+        # before the source even looks at them
+        self.wanted = None
+        for kernel in kernels:
+            if isinstance(kernel, MaskAndKernel):
+                self.wanted = kernel.wanted if self.wanted is None \
+                    else self.wanted & kernel.wanted
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -468,6 +459,7 @@ class _CompiledPlanPass:
     def __call__(self, _index, part):
         source = self.source
         kernels = self.kernels
+        wanted = self.wanted
         metrics = self.metrics
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
@@ -485,6 +477,8 @@ class _CompiledPlanPass:
             chunks_in += 1
             if tracing:
                 chunk_ids.append(chunk_id)
+            if wanted is not None and chunk_id not in wanted:
+                continue
             state = source.begin(chunk_id, value)
             for kernel in kernels:
                 kernel.apply(chunk_id, state)

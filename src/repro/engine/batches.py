@@ -32,8 +32,8 @@ tuple path":
   overflow int64 where Python would promote to bignum.
 
 ``disable_columnar()`` routes every shuffle back through the generic
-tuple path (standalone or as a context manager), mirroring
-``repro.plan.disable_fusion``.
+tuple path (standalone or as a context manager); the generic path also
+stays the fallback for keys that cannot be packed.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ optimizations directly visible in the plan.
 
 Chunk-kernel fusion (:mod:`repro.core.plan`) is visible here too: a
 compiled ChunkPlan appears as a single RDD named after its pipeline —
-``fused[filter→map→mask_and]`` — where the eager path would show one
+``fused[filter→map→mask_and]`` — where an unfused chain would show one
 RDD hop per operator. :func:`fused_pipelines` extracts those labels.
 
 This module renders the *physical* half of ``ArrayRDD.explain()``: the

@@ -133,7 +133,8 @@ class MetricsRegistry:
     recomputations: int = 0
     task_retries: int = 0
     # chunk-kernel fusion (repro.core.plan): kernels compiled into fused
-    # passes, and intermediate Chunk builds the eager path would have done
+    # passes, and intermediate Chunk builds a one-operator-at-a-time
+    # evaluation would have done
     kernels_fused: int = 0
     fused_chunks_avoided: int = 0
     # the logical rewrite optimizer (repro.core.optimizer): cost-gated

@@ -20,9 +20,10 @@ dependency-free stage's map tasks are submitted to the shared
 map output as it lands, and a downstream stage launches the moment its
 last input block arrives — the two sides of a join/cogroup/matmul
 overlap fully instead of serializing at stage barriers.
-``disable_pipelining()`` (mirroring ``repro.plan.disable_fusion`` and
-``repro.engine.batches.disable_columnar``) restores the one-stage-at-
-a-time barrier loop; serial contexts always use it.
+``disable_pipelining()`` (like ``repro.engine.batches.disable_columnar``
+and ``repro.optimizer.disable``, a process-global switch usable as a
+context manager) restores the one-stage-at-a-time barrier loop; serial
+contexts always use it.
 
 Determinism contract: the serial path (``use_threads=False``, the
 default), the threaded path, and the pipelined path all produce

@@ -385,15 +385,19 @@ class SharedSegmentRegistry:
             # payload's own pickling decides the block's fate
             return InlineBlockHandle(records)
         handle = refs[0]
-        stale = None
         with self._lock:
-            self._segments[name] = nbytes
             memo = self._block_exports.get(key)
-            if memo is not None:
-                stale = memo[1]
-            self._block_exports[key] = (records, handle)
-        if isinstance(stale, ShmRef):
-            self.release(stale.segment)
+            raced = memo is not None and memo[0] is records
+            if not raced:
+                self._segments[name] = nbytes
+                self._block_exports[key] = (records, handle)
+        if raced:
+            # another thread exported this same block meanwhile: keep
+            # its segment (a task may be attaching it already), drop ours
+            _unlink_segment(name)
+            return memo[1]
+        if memo is not None and isinstance(memo[1], ShmRef):
+            self.release(memo[1].segment)
         return handle
 
     def release(self, name: str) -> None:

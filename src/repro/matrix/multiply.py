@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import plan as plan_mod
 from repro.core.array_rdd import ArrayRDD
 from repro.core.chunk import Chunk
 from repro.core.logical import MatmulExecPlan, MatmulOp, SourceOp, estimate
@@ -390,15 +389,6 @@ def _resolve_kernel(left, right, exec_plan=None):
                         scatter_gate)
 
 
-def _multiply_blocks(left, right, left_chunk, right_chunk):
-    """Legacy entry point: the COO-or-dense kernel at the constant
-    threshold. Kept for callers that predate :class:`_BlockKernel`."""
-    kernel = _BlockKernel(tuple(left.block_shape),
-                          tuple(right.block_shape), "coo",
-                          SPARSE_KERNEL_THRESHOLD, 0.0)
-    return kernel(left_chunk, right_chunk)
-
-
 def _result_meta(left, right) -> ArrayMetadata:
     return ArrayMetadata(
         (left.shape[0], right.shape[1]),
@@ -471,23 +461,17 @@ def prepare_local(left, right, num_partitions=None):
 def block_matmul(left, right, local_join: bool = False):
     """``left × right`` as a SpangleMatrix.
 
-    Recorded as a logical :class:`~repro.core.logical.MatmulOp` (when
-    fusion is on), so a subarray written after the multiply can restrict
-    the operand sides before their shuffles; :func:`lower_matmul` runs
-    the actual three-stage plan when an action forces it.
+    Recorded as a logical :class:`~repro.core.logical.MatmulOp`, so a
+    subarray written after the multiply can restrict the operand sides
+    before their shuffles; :func:`lower_matmul` runs the actual
+    three-stage plan when an action forces it.
     """
     from repro.matrix.matrix import SpangleMatrix
 
     _check_dims(left, right)
     meta = _result_meta(left, right)
-    context = left.context
-    if plan_mod.fusion_enabled():
-        node = MatmulOp(left, right, local_join, meta)
-        return SpangleMatrix(ArrayRDD(None, meta, context,
-                                      logical=node))
-    return SpangleMatrix(ArrayRDD(
-        _run_matmul(left, right, local_join, meta, context),
-        meta, context))
+    node = MatmulOp(left, right, local_join, meta)
+    return SpangleMatrix(ArrayRDD(None, meta, left.context, logical=node))
 
 
 def lower_matmul(node: MatmulOp, context):

@@ -1,8 +1,8 @@
 """Public alias for the logical rewrite optimizer.
 
-``repro.optimizer.disable()`` is the documented escape hatch for
-lowering recorded plans exactly as written (mirroring
-``repro.plan.disable_fusion()``); the implementation lives in
+``repro.optimizer.disable()`` lowers recorded plans exactly as
+written — the plans-as-written reference the optimizer's byte-identity
+tests compare against; the implementation lives in
 :mod:`repro.core.optimizer`.
 """
 

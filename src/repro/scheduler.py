@@ -2,9 +2,8 @@
 
 ``repro.scheduler.disable_pipelining()`` is the documented escape
 hatch for running shuffle map stages one at a time behind barriers
-(mirroring ``repro.plan.disable_fusion`` and
-``repro.engine.batches.disable_columnar``); the implementation lives
-in :mod:`repro.engine.scheduler`.
+(like ``repro.engine.batches.disable_columnar``); the implementation
+lives in :mod:`repro.engine.scheduler`.
 
 This module re-exports the implementation's scheduling surface — the
 drift-guard test in ``tests/engine/test_scheduler.py`` asserts the two

@@ -293,3 +293,25 @@ def test_mapper_bijection_property(shape, chunk, data):
     assert 0 <= cid < meta.num_chunks
     assert 0 <= off < meta.cells_per_chunk
     assert mapper.coords_for_offset(meta, cid, off) == (i, j)
+
+
+@settings(max_examples=80)
+@given(
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    chunk=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    starts=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    data=st.data(),
+)
+def test_chunk_ids_fully_inside_matches_cell_masks(shape, chunk, starts,
+                                                   data):
+    """A chunk is fully inside a box exactly when every in-bounds cell
+    of it lies in the box's virtual bitmask."""
+    meta = ArrayMetadata(shape, chunk, starts=starts)
+    lo = tuple(data.draw(st.integers(s - 2, s + n + 1))
+               for s, n in zip(starts, shape))
+    hi = tuple(data.draw(st.integers(a, a + 14)) for a in lo)
+    want = [cid for cid in range(meta.num_chunks)
+            if not (mapper.in_bounds_mask_for_chunk(meta, cid)
+                    & ~mapper.range_mask_for_chunk(meta, cid, lo, hi)).any()]
+    assert mapper.chunk_ids_fully_inside(meta, lo, hi) == want
+    assert set(want) <= set(mapper.chunk_ids_in_range(meta, lo, hi))

@@ -11,7 +11,7 @@ contains.
 import numpy as np
 import pytest
 
-from repro import optimizer, plan
+from repro import optimizer
 from repro.core import ArrayRDD
 from repro.core.optimizer import lower_count_valid
 from repro.engine import ClusterContext
