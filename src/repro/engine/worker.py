@@ -543,6 +543,15 @@ class ProcessTaskRunner:
             context.num_executors,
             heartbeats=getattr(context, "worker_heartbeats", None),
             health=getattr(context, "health_monitor", None))
+        # payloads are encoded one at a time: the tasks of a stage share
+        # their lineage and cached blocks, and pickling builds the
+        # __dict__ of every object it reaches. CPython 3.11 builds an
+        # instance's __dict__ lazily; when two threads build the same
+        # one at once (its allocation can run the garbage collector and
+        # switch threads) both dicts share one attribute array, and the
+        # collector later crashes on the freed copy. Pickling holds the
+        # GIL anyway, so the lock costs no parallelism.
+        self._encode_lock = threading.Lock()
 
     def ensure_started(self) -> None:
         self.pool.ensure_started()
@@ -567,28 +576,29 @@ class ProcessTaskRunner:
     # -- protocol ---------------------------------------------------------
 
     def _build_payload(self, task) -> bytes:
-        context = self.context
-        blocks = {}
-        for node in lineage_nodes(task.roots()):
-            if node.storage_level is StorageLevel.NONE:
-                continue
-            entries = context.cache.export_entries(node.rdd_id)
-            for index, entry in entries.items():
-                key = (node.rdd_id, index)
-                if entry[0] == "memory":
-                    _kind, data, size = entry
-                    blocks[key] = context.shm_registry.export_block(
-                        key, data, size)
-                else:
-                    _kind, path, nbytes = entry
-                    blocks[key] = shm_mod.SpillFileHandle(path, nbytes)
-        return task_dumps({
-            "task": task,
-            "trace": context.tracer.enabled,
-            "state": capture_task_state(),
-            "blocks": blocks,
-            "prefix": context.shm_registry.prefix,
-        })
+        with self._encode_lock:
+            context = self.context
+            blocks = {}
+            for node in lineage_nodes(task.roots()):
+                if node.storage_level is StorageLevel.NONE:
+                    continue
+                entries = context.cache.export_entries(node.rdd_id)
+                for index, entry in entries.items():
+                    key = (node.rdd_id, index)
+                    if entry[0] == "memory":
+                        _kind, data, size = entry
+                        blocks[key] = context.shm_registry.export_block(
+                            key, data, size)
+                    else:
+                        _kind, path, nbytes = entry
+                        blocks[key] = shm_mod.SpillFileHandle(path, nbytes)
+            return task_dumps({
+                "task": task,
+                "trace": context.tracer.enabled,
+                "state": capture_task_state(),
+                "blocks": blocks,
+                "prefix": context.shm_registry.prefix,
+            })
 
     def _absorb(self, task, reply, parent_span) -> None:
         context = self.context
